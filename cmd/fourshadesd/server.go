@@ -10,10 +10,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,15 +58,22 @@ type flightShard struct {
 	m  map[string]*flightCall
 }
 
+// flightSeed keys the flight shard hash.
+var flightSeed = maphash.MakeSeed()
+
 // shard returns the flight shard of key.
 func (g *flightGroup) shard(key string) *flightShard {
-	h := fnv.New32a()
-	io.WriteString(h, key)
-	return &g.shards[h.Sum32()&(flightShards-1)]
+	return &g.shards[maphash.String(flightSeed, key)&(flightShards-1)]
 }
 
+// errComputePanicked marks a flight computation that panicked. The daemon
+// answers it with a 500, not as a client error.
+var errComputePanicked = errors.New("computation panicked")
+
 // do runs fn under key, reporting whether the result was shared from another
-// caller's in-flight computation.
+// caller's in-flight computation. A panicking fn fails the caller and every
+// joiner with errComputePanicked and still releases the key: a key left in
+// flight would hang every later identical request.
 func (g *flightGroup) do(key string, fn func() (any, error)) (val any, shared bool, err error) {
 	sh := g.shard(key)
 	sh.mu.Lock()
@@ -79,13 +89,25 @@ func (g *flightGroup) do(key string, fn func() (any, error)) (val any, shared bo
 	sh.m[key] = c
 	sh.mu.Unlock()
 
-	c.val, c.err = fn()
+	c.val, c.err = callContained(fn)
 
 	sh.mu.Lock()
 	delete(sh.m, key)
 	sh.mu.Unlock()
 	close(c.done)
 	return c.val, false, c.err
+}
+
+// callContained calls fn, turning a panic into an errComputePanicked error
+// and logging its stack.
+func callContained(fn func() (any, error)) (val any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("fourshadesd: flight computation panicked: %v\n%s", p, debug.Stack())
+			val, err = nil, fmt.Errorf("%w: %v", errComputePanicked, p)
+		}
+	}()
+	return fn()
 }
 
 // respCacheMax bounds the byte-level response cache; overflowing clears the
@@ -225,11 +247,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // query wraps a computation endpoint with the two warm layers: the byte
 // cache (corpus-derived answers served as precomputed JSON, no engine, no
-// encoder, no lock) and body-keyed single-flight (two byte-identical
-// requests in flight at once run the computation once and share the answer).
-// The body is bounded — every query here is a graph or a name, not a bulk
-// upload.
-func (s *server) query(compute func(body []byte) (any, error)) http.HandlerFunc {
+// encoder, no lock), looked up by the raw path and body before anything is
+// decoded, and body-keyed single-flight (two byte-identical requests in
+// flight at once run the computation once and share the answer). compute
+// decodes the body; when its answer may be cached it sets *cacheAs to the
+// answer's invalidation tag. The body is bounded — every query here is a
+// graph or a name, not a bulk upload.
+func (s *server) query(compute func(body []byte, cacheAs *string) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := readBody(r)
 		if err != nil {
@@ -238,20 +262,24 @@ func (s *server) query(compute func(body []byte) (any, error)) http.HandlerFunc 
 		}
 		s.requests.Add(1)
 		key := r.URL.Path + "\x00" + string(body)
-		tag := s.cacheTag(r.URL.Path, body)
-		if tag != "" {
-			if data, ok := s.resp.get(key); ok {
-				s.cached.Add(1)
-				writeJSONBytes(w, data)
-				return
-			}
+		if data, ok := s.resp.get(key); ok {
+			s.cached.Add(1)
+			writeJSONBytes(w, data)
+			return
 		}
+		// Only the request that runs the computation learns the tag; its
+		// joiners share the answer and leave caching it to that request.
+		var tag string
 		val, shared, err := s.flight.do(key, func() (any, error) {
 			s.computed.Add(1)
-			return compute(body)
+			return compute(body, &tag)
 		})
 		if shared {
 			s.deduped.Add(1)
+		}
+		if errors.Is(err, errComputePanicked) {
+			writeError(w, http.StatusInternalServerError, err)
+			return
 		}
 		if err != nil {
 			writeError(w, http.StatusUnprocessableEntity, err)
@@ -268,27 +296,6 @@ func (s *server) query(compute func(body []byte) (any, error)) http.HandlerFunc 
 		}
 		writeJSONBytes(w, data)
 	}
-}
-
-// cacheTag decides whether a request's response may be served from the byte
-// cache, returning the corpus it should be tagged with ("" = uncacheable).
-// Only corpus-derived census and advice answers qualify: they are pure
-// functions of the registered corpus (deterministic generators under the
-// daemon's fixed seed), so the bytes stay valid until the corpus's graphs
-// are forgotten. Inline-graph requests are never cached — their graphs are
-// not tracked by any invalidation tag.
-func (s *server) cacheTag(path string, body []byte) string {
-	if path != "/v1/census" && path != "/v1/advice" {
-		return ""
-	}
-	var ref graphRef
-	if err := json.Unmarshal(body, &ref); err != nil {
-		return ""
-	}
-	if ref.Corpus == "" || len(ref.Graph) > 0 {
-		return ""
-	}
-	return ref.Corpus
 }
 
 // writeJSONBytes writes an already-encoded JSON response.
@@ -314,7 +321,7 @@ func (s *server) handleForget(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Corpus == "" || len(req.Graph) > 0 {
+	if req.Corpus == "" || req.Graph != nil {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("forget needs a corpus (and optionally a member name)"))
 		return
@@ -346,11 +353,25 @@ func readBody(r *http.Request) ([]byte, error) {
 }
 
 // graphRef names a graph: a registered corpus member ({"corpus","name"}) or
-// an inline port-numbered graph ({"graph": {"n":…, "edges":[…]}}).
+// an inline port-numbered graph ({"graph": {"n":…, "edges":[…]}}), which
+// decoding the request builds and validates.
 type graphRef struct {
-	Corpus string          `json:"corpus,omitempty"`
-	Name   string          `json:"name,omitempty"`
-	Graph  json.RawMessage `json:"graph,omitempty"`
+	Corpus string       `json:"corpus,omitempty"`
+	Name   string       `json:"name,omitempty"`
+	Graph  *graph.Graph `json:"graph,omitempty"`
+}
+
+// cacheTag is the byte-cache tag of a census or advice answer about ref:
+// its corpus when the answer derives from a registered corpus alone, and
+// "" (uncacheable) otherwise. Corpus-derived answers are pure functions of
+// the registered corpus (deterministic generators under the daemon's fixed
+// seed), so their bytes stay valid until the corpus's graphs are
+// forgotten; inline graphs are tracked by no invalidation tag.
+func (ref graphRef) cacheTag() string {
+	if ref.Graph != nil {
+		return ""
+	}
+	return ref.Corpus
 }
 
 // corpusFor returns the built corpus for name, building it once per process
@@ -372,15 +393,11 @@ func (s *server) corpusFor(name string) (*corpus.Corpus, error) {
 // resolve turns a graphRef into a named graph.
 func (s *server) resolve(ref graphRef) (string, *graph.Graph, error) {
 	switch {
-	case len(ref.Graph) > 0:
+	case ref.Graph != nil:
 		if ref.Corpus != "" || ref.Name != "" {
 			return "", nil, fmt.Errorf("give either an inline graph or a corpus member, not both")
 		}
-		var g graph.Graph
-		if err := g.UnmarshalJSON(ref.Graph); err != nil {
-			return "", nil, err
-		}
-		return "inline", &g, nil
+		return "inline", ref.Graph, nil
 	case ref.Corpus != "":
 		c, err := s.corpusFor(ref.Corpus)
 		if err != nil {
@@ -425,12 +442,13 @@ func (s *server) censusRowFor(name string, g *graph.Graph) censusRow {
 
 // census answers POST /v1/census: the class census of one graph, or of every
 // member of a named corpus ({"corpus":"default"} with no member name).
-func (s *server) census(body []byte) (any, error) {
+func (s *server) census(body []byte, cacheAs *string) (any, error) {
 	var req graphRef
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, err
 	}
-	if req.Corpus != "" && req.Name == "" && len(req.Graph) == 0 {
+	*cacheAs = req.cacheTag()
+	if req.Corpus != "" && req.Name == "" && req.Graph == nil {
 		c, err := s.corpusFor(req.Corpus)
 		if err != nil {
 			return nil, err
@@ -452,7 +470,7 @@ func (s *server) census(body []byte) (any, error) {
 // selected nodes of the paper's size-optimal advice scheme) for one graph or
 // a whole corpus. Infeasible graphs report an error string per row rather
 // than failing the request.
-func (s *server) advice(body []byte) (any, error) {
+func (s *server) advice(body []byte, cacheAs *string) (any, error) {
 	type adviceRow struct {
 		Name  string `json:"name"`
 		Bits  int    `json:"advice_bits,omitempty"`
@@ -469,7 +487,8 @@ func (s *server) advice(body []byte) (any, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, err
 	}
-	if req.Corpus != "" && req.Name == "" && len(req.Graph) == 0 {
+	*cacheAs = req.cacheTag()
+	if req.Corpus != "" && req.Name == "" && req.Graph == nil {
 		c, err := s.corpusFor(req.Corpus)
 		if err != nil {
 			return nil, err
@@ -490,7 +509,7 @@ func (s *server) advice(body []byte) (any, error) {
 // indices answers POST /v1/indices: the four election indices ψ_S, ψ_PE,
 // ψ_PPE, ψ_CPPE of one graph, computed over the shared engine. Optional
 // "tasks" restricts which of the four are reported.
-func (s *server) indices(body []byte) (any, error) {
+func (s *server) indices(body []byte, _ *string) (any, error) {
 	var req struct {
 		graphRef
 		Tasks           []string `json:"tasks,omitempty"`
@@ -527,7 +546,7 @@ func (s *server) indices(body []byte) (any, error) {
 // sameView answers POST /v1/sameview: whether node v1 of graph a and node v2
 // of graph b have equal depth-limited views — cross-graph, via the engine's
 // cached disjoint unions.
-func (s *server) sameView(body []byte) (any, error) {
+func (s *server) sameView(body []byte, _ *string) (any, error) {
 	var req struct {
 		A     graphRef `json:"a"`
 		V1    int      `json:"v1"`

@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/engine"
@@ -35,9 +38,13 @@ func newTestServer(t testing.TB, dir string) (*server, *httptest.Server) {
 	return srv, ts
 }
 
+// testClient bounds every request a test makes, so a request the daemon
+// never answers fails its test instead of hanging it.
+var testClient = &http.Client{Timeout: 10 * time.Second}
+
 func postJSON(t testing.TB, ts *httptest.Server, path, body string, out any) *http.Response {
 	t.Helper()
-	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
+	resp, err := testClient.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatalf("POST %s: %v", path, err)
 	}
@@ -194,7 +201,9 @@ func TestDaemonSmoke(t *testing.T) {
 }
 
 // TestDaemonBadRequests: malformed bodies and unknown names are client
-// errors with a JSON error field, never 500s or crashes.
+// errors with a JSON error field, never 500s or crashes. Each request is
+// sent twice: a failure must not leave its flight key behind to hang the
+// identical retry.
 func TestDaemonBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, "")
 	cases := []struct {
@@ -205,20 +214,47 @@ func TestDaemonBadRequests(t *testing.T) {
 		{"/v1/census", `{"corpus":"default","name":"no-such-graph"}`},
 		{"/v1/census", `{}`},
 		{"/v1/census", `{"graph":{"n":2,"edges":[{"u":0,"pu":0,"v":0,"pv":0}]}}`},
+		{"/v1/census", `{"graph":{"n":-1,"edges":[]}}`},
+		{"/v1/census", `{"graph":{"n":1000000000,"edges":[]}}`},
+		{"/v1/census", `{"graph":null}`},
+		{"/v1/census", fmt.Sprintf(`{"corpus":"default","name":"path-8","graph":%s}`, ringJSON)},
 		{"/v1/sameview", fmt.Sprintf(`{"a":{"graph":%s},"v1":99,"b":{"graph":%s},"v2":0,"depth":1}`, ringJSON, ringJSON)},
 		{"/v1/indices", fmt.Sprintf(`{"graph":%s,"tasks":["XYZ"]}`, ringJSON)},
 	}
 	for _, c := range cases {
+		for attempt := 1; attempt <= 2; attempt++ {
+			var out struct {
+				Error string `json:"error"`
+			}
+			resp := postJSON(t, ts, c.path, c.body, &out)
+			if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+				t.Errorf("POST %s %q (attempt %d): status %v, want a 4xx", c.path, c.body, attempt, resp.Status)
+			}
+			if out.Error == "" {
+				t.Errorf("POST %s %q (attempt %d): no error field in response", c.path, c.body, attempt)
+			}
+		}
+	}
+}
+
+// TestDaemonComputePanic: a computation that panics is answered with a
+// 500 carrying an error, and an identical retry runs afresh instead of
+// waiting forever on the abandoned flight.
+func TestDaemonComputePanic(t *testing.T) {
+	srv, _ := newTestServer(t, "")
+	ts := httptest.NewServer(srv.query(func([]byte, *string) (any, error) { panic("boom") }))
+	defer ts.Close()
+	for attempt := 1; attempt <= 2; attempt++ {
 		var out struct {
 			Error string `json:"error"`
 		}
-		resp := postJSON(t, ts, c.path, c.body, &out)
-		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
-			t.Errorf("POST %s %q: status %v, want a 4xx", c.path, c.body, resp.Status)
+		resp := postJSON(t, ts, "/", `{}`, &out)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(out.Error, "boom") {
+			t.Errorf("attempt %d: status %v, error %q; want 500 naming the panic", attempt, resp.Status, out.Error)
 		}
-		if out.Error == "" {
-			t.Errorf("POST %s %q: no error field in response", c.path, c.body)
-		}
+	}
+	if got := srv.computed.Load(); got != 2 {
+		t.Errorf("computed=%d, want 2: the retry must run afresh", got)
 	}
 }
 
@@ -307,32 +343,27 @@ func TestFlightGroupSharding(t *testing.T) {
 		t.Errorf("256 distinct keys landed on %d shards, want a spread over most of %d", len(distinct), flightShards)
 	}
 	// Concurrent identical keys on the sharded group still collapse to one
-	// computation.
-	release := make(chan struct{})
-	var started sync.WaitGroup
-	started.Add(1)
-	go g.do("same-key", func() (any, error) {
-		started.Done()
-		<-release
-		return "first", nil
-	})
-	started.Wait()
+	// computation. The test plays the in-flight computation itself, as
+	// TestSingleFlightDedup does, and keeps it registered until every
+	// joiner has returned: a real leader can finish before a slow joiner
+	// looks its key up, and that joiner would then compute afresh.
+	const key = "same-key"
+	inflight := &flightCall{done: make(chan struct{}), val: "first"}
+	sh := g.shard(key)
+	sh.mu.Lock()
+	sh.m = map[string]*flightCall{key: inflight}
+	sh.mu.Unlock()
 	var joined sync.WaitGroup
 	shared := make([]bool, 8)
 	for i := range shared {
 		joined.Add(1)
 		go func(i int) {
 			defer joined.Done()
-			v, wasShared, err := g.do("same-key", func() (any, error) { return "second", nil })
+			v, wasShared, err := g.do(key, func() (any, error) { return "second", nil })
 			shared[i] = wasShared && v == "first" && err == nil
 		}(i)
 	}
-	// The joiners block on the in-flight call; give them a moment to enqueue,
-	// then release. (A joiner that raced past and computed reports false.)
-	for i := 0; i < 100; i++ {
-		runtime.Gosched()
-	}
-	close(release)
+	close(inflight.done)
 	joined.Wait()
 	for i, ok := range shared {
 		if !ok {
@@ -432,6 +463,38 @@ func TestFlightGroupSemantics(t *testing.T) {
 	}
 	if _, _, err := g.do("k", func() (any, error) { return 1, nil }); err != nil {
 		t.Fatalf("failed call was not forgotten: %v", err)
+	}
+
+	// A panicking computation fails its caller and its joiners with an
+	// error, and the key is released: the next call runs fresh instead of
+	// waiting forever. The test joins as do's joiners do, by waiting on
+	// the in-flight call's done channel.
+	release, started := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := g.do("k", func() (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+		leaderErr <- err
+	}()
+	<-started
+	sh := g.shard("k")
+	sh.mu.Lock()
+	inflight := sh.m["k"]
+	sh.mu.Unlock()
+	close(release)
+	if err := <-leaderErr; !errors.Is(err, errComputePanicked) {
+		t.Fatalf("panicking call returned %v, want errComputePanicked", err)
+	}
+	<-inflight.done
+	if !errors.Is(inflight.err, errComputePanicked) {
+		t.Fatalf("joiners of a panicking call see %v, want errComputePanicked", inflight.err)
+	}
+	v, shared, err := g.do("k", func() (any, error) { return "fresh", nil })
+	if err != nil || shared || v != "fresh" {
+		t.Fatalf("call after a panic: v=%v shared=%v err=%v, want a fresh computation", v, shared, err)
 	}
 }
 

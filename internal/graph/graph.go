@@ -168,8 +168,8 @@ func (g *Graph) Validate() error {
 	if g.N() == 0 {
 		return fmt.Errorf("graph: empty graph")
 	}
+	stamp := make([]int, g.N()) // stamp[w] == v+1 once node v has an edge to w
 	for v := range g.adj {
-		seen := make(map[int]bool, len(g.adj[v]))
 		for p, h := range g.adj[v] {
 			if h.To < 0 || h.To >= g.N() {
 				return fmt.Errorf("graph: node %d port %d points to invalid node %d", v, p, h.To)
@@ -177,10 +177,10 @@ func (g *Graph) Validate() error {
 			if h.To == v {
 				return fmt.Errorf("graph: node %d has a self-loop at port %d", v, p)
 			}
-			if seen[h.To] {
+			if stamp[h.To] == v+1 {
 				return fmt.Errorf("graph: parallel edge between %d and %d", v, h.To)
 			}
-			seen[h.To] = true
+			stamp[h.To] = v + 1
 			if h.ToPort < 0 || h.ToPort >= len(g.adj[h.To]) {
 				return fmt.Errorf("graph: node %d port %d names invalid reverse port %d at node %d",
 					v, p, h.ToPort, h.To)
@@ -204,7 +204,7 @@ func (g *Graph) Connected() bool {
 		return false
 	}
 	seen := make([]bool, g.N())
-	stack := []int{0}
+	stack := make([]int, 1, g.N()) // every node is pushed at most once
 	seen[0] = true
 	count := 1
 	for len(stack) > 0 {
@@ -227,22 +227,43 @@ func (g *Graph) Connected() bool {
 // 1..Δ−2 long before port 0 is attached). Build checks that, in the end,
 // every node's ports are exactly 0..deg−1.
 type Builder struct {
-	adj  [][]Half       // adj[v][p]; unused slots hold Half{To: -1}
-	used []map[int]bool // ports assigned at each node
-	err  error
+	adj [][]Half // adj[v][p]; unused slots hold Half{To: -1}
+	deg []int    // number of ports assigned at each node
+	err error
 }
 
 // NewBuilder returns a builder for a graph with n initial isolated nodes
 // (more can be added).
 func NewBuilder(n int) *Builder {
-	b := &Builder{adj: make([][]Half, n), used: make([]map[int]bool, n)}
-	return b
+	return &Builder{adj: make([][]Half, n), deg: make([]int, n)}
+}
+
+// newBuilderSized returns a builder for len(deg) nodes in which node v has
+// deg[v] unused port slots, all carved from one backing array. It takes
+// deg over as its own per-node port count.
+func newBuilderSized(deg []int) *Builder {
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	slots := make([]Half, total)
+	for i := range slots {
+		slots[i].To = -1
+	}
+	adj := make([][]Half, len(deg))
+	for v, d := range deg {
+		// The capacity limit keeps a growing slice from spilling into the
+		// next node's slots.
+		adj[v], slots = slots[:d:d], slots[d:]
+	}
+	clear(deg)
+	return &Builder{adj: adj, deg: deg}
 }
 
 // AddNode adds an isolated node and returns its identifier.
 func (b *Builder) AddNode() int {
 	b.adj = append(b.adj, nil)
-	b.used = append(b.used, nil)
+	b.deg = append(b.deg, 0)
 	return len(b.adj) - 1
 }
 
@@ -259,15 +280,18 @@ func (b *Builder) AddNodes(count int) int {
 func (b *Builder) N() int { return len(b.adj) }
 
 // Degree returns the number of edges attached to node v so far.
-func (b *Builder) Degree(v int) int { return len(b.used[v]) }
+func (b *Builder) Degree(v int) int { return b.deg[v] }
+
+// used reports whether port p is already assigned at node v.
+func (b *Builder) used(v, p int) bool { return p < len(b.adj[v]) && b.adj[v][p].To >= 0 }
 
 // NextPort returns the smallest port number not yet used at node v.
 func (b *Builder) NextPort(v int) int {
-	for p := 0; ; p++ {
-		if !b.used[v][p] {
-			return p
-		}
+	p := 0
+	for b.used(v, p) {
+		p++
 	}
+	return p
 }
 
 func (b *Builder) setHalf(v, p int, h Half) {
@@ -275,10 +299,7 @@ func (b *Builder) setHalf(v, p int, h Half) {
 		b.adj[v] = append(b.adj[v], Half{To: -1})
 	}
 	b.adj[v][p] = h
-	if b.used[v] == nil {
-		b.used[v] = make(map[int]bool)
-	}
-	b.used[v][p] = true
+	b.deg[v]++
 }
 
 // AddEdge adds the edge {u, v} with explicit port numbers pu at u and pv at v.
@@ -298,16 +319,22 @@ func (b *Builder) AddEdge(u, pu, v, pv int) {
 		b.err = fmt.Errorf("graph: AddEdge(%d,%d,%d,%d): negative port", u, pu, v, pv)
 		return
 	}
-	if b.used[u][pu] {
+	if b.used(u, pu) {
 		b.err = fmt.Errorf("graph: AddEdge: port %d already used at node %d", pu, u)
 		return
 	}
-	if b.used[v][pv] {
+	if b.used(v, pv) {
 		b.err = fmt.Errorf("graph: AddEdge: port %d already used at node %d", pv, v)
 		return
 	}
-	for _, h := range b.adj[u] {
-		if h.To == v {
+	// Look for an existing {u, v} edge from the endpoint with fewer port
+	// slots, so attaching the leaves of a star costs O(1) each.
+	from, to := u, v
+	if len(b.adj[v]) < len(b.adj[u]) {
+		from, to = v, u
+	}
+	for _, h := range b.adj[from] {
+		if h.To == to {
 			b.err = fmt.Errorf("graph: AddEdge: parallel edge between %d and %d", u, v)
 			return
 		}

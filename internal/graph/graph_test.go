@@ -76,6 +76,11 @@ func TestBuilderErrors(t *testing.T) {
 			b.AddEdge(0, 0, 1, 0)
 			b.AddEdge(0, 1, 1, 1)
 		}},
+		{"parallel edge found from the endpoint with fewer ports", func(b *Builder) {
+			b.AddEdge(0, 0, 1, 0)
+			b.AddEdge(0, 1, 2, 0)
+			b.AddEdge(0, 2, 1, 1)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,16 +31,16 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a graph written by MarshalJSON and validates it.
+// It reads the wire form in one pass and accepts exactly the documents
+// encoding/json would decode into it (see jsonReader); n must be at most
+// one more than the number of edges, as in every connected graph.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
-		return err
+	r := jsonReader{data: data}
+	n, edges, err := r.graph()
+	if err != nil {
+		return fmt.Errorf("graph: invalid JSON graph: %w", err)
 	}
-	b := NewBuilder(jg.N)
-	for _, e := range jg.Edges {
-		b.AddEdge(e.U, e.PU, e.V, e.PV)
-	}
-	built, err := b.Build()
+	built, err := buildFromEdges(n, edges)
 	if err != nil {
 		return fmt.Errorf("graph: invalid JSON graph: %w", err)
 	}
